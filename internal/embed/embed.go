@@ -88,14 +88,17 @@ func (e *Embedder) Word(tok string) []float64 {
 
 // Value embeds a full attribute value as the mean of its token
 // embeddings; an empty value embeds to the zero vector.
-func (e *Embedder) Value(s string) []float64 {
+func (e *Embedder) Value(s string) []float64 { return e.value(s, e.Word) }
+
+// value embeds s with word vectors from word.
+func (e *Embedder) value(s string, word func(string) []float64) []float64 {
 	toks := strutil.Tokens(s)
 	out := make([]float64, e.Dim)
 	if len(toks) == 0 {
 		return out
 	}
 	for _, t := range toks {
-		tv := e.Word(t)
+		tv := word(t)
 		for i := range out {
 			out[i] += tv[i]
 		}
@@ -111,22 +114,68 @@ func (e *Embedder) Value(s string) []float64 {
 // the element-wise absolute difference of the two value embeddings
 // followed by their cosine similarity, giving Dim+1 features.
 func (e *Embedder) PairFeatures(a, b string) []float64 {
-	va := e.Value(a)
-	vb := e.Value(b)
-	out := make([]float64, e.Dim+1)
+	return appendPairFeatures(make([]float64, 0, e.Dim+1), e.Value(a), e.Value(b))
+}
+
+// appendPairFeatures appends the PairFeatures of two value embeddings
+// to dst.
+func appendPairFeatures(dst, va, vb []float64) []float64 {
 	var dot, na, nb float64
-	for i := 0; i < e.Dim; i++ {
-		out[i] = math.Abs(va[i] - vb[i])
+	for i := range va {
+		dst = append(dst, math.Abs(va[i]-vb[i]))
 		dot += va[i] * vb[i]
 		na += va[i] * va[i]
 		nb += vb[i] * vb[i]
 	}
+	cos := 0.0
 	if na > 0 && nb > 0 {
 		// Rescale cosine from [-1,1] into [0,1] to match the rest of
 		// the feature space.
-		out[e.Dim] = (dot/(math.Sqrt(na)*math.Sqrt(nb)) + 1) / 2
+		cos = (dot/(math.Sqrt(na)*math.Sqrt(nb)) + 1) / 2
 	}
-	return out
+	return append(dst, cos)
+}
+
+// Memo embeds like its Embedder but computes each distinct token's
+// word vector and each distinct value's embedding once, which pays
+// when the same values recur across many pairs. It keeps every vector
+// it computed, so it should live for one batch of work (DR keeps one
+// per run). A Memo is not safe for concurrent use; its Embedder stays
+// stateless and safe.
+type Memo struct {
+	e      *Embedder
+	words  map[string][]float64
+	values map[string][]float64
+}
+
+// Memo returns an empty memo over e.
+func (e *Embedder) Memo() *Memo {
+	return &Memo{e: e, words: map[string][]float64{}, values: map[string][]float64{}}
+}
+
+// AppendPairFeatures appends PairFeatures(a, b) to dst, bit for bit.
+// The memo's vectors never escape: only the derived features are
+// written.
+func (m *Memo) AppendPairFeatures(dst []float64, a, b string) []float64 {
+	return appendPairFeatures(dst, m.value(a), m.value(b))
+}
+
+func (m *Memo) value(s string) []float64 {
+	v, ok := m.values[s]
+	if !ok {
+		v = m.e.value(s, m.word)
+		m.values[s] = v
+	}
+	return v
+}
+
+func (m *Memo) word(tok string) []float64 {
+	v, ok := m.words[tok]
+	if !ok {
+		v = m.e.Word(tok)
+		m.words[tok] = v
+	}
+	return v
 }
 
 // Cosine returns the cosine similarity of two embedded values in

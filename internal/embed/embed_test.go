@@ -2,6 +2,7 @@ package embed
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -114,4 +115,92 @@ func TestNewPanicsOnBadDim(t *testing.T) {
 		}
 	}()
 	New(0, 0, 1)
+}
+
+// TestReturnedVectorsAreCallersOwn: mutating a vector returned by Word
+// or Value must not change what a later call returns.
+func TestReturnedVectorsAreCallersOwn(t *testing.T) {
+	for _, sub := range []float64{0, 0.5} {
+		e := New(8, sub, 3)
+		want := New(8, sub, 3)
+		w := e.Word("smith")
+		v := e.Value("john smith")
+		for i := range w {
+			w[i] = 42
+		}
+		for i := range v {
+			v[i] = 42
+		}
+		if !sameBits(e.Word("smith"), want.Word("smith")) {
+			t.Errorf("subword %v: Word result changed after the caller mutated an earlier one", sub)
+		}
+		if !sameBits(e.Value("john smith"), want.Value("john smith")) {
+			t.Errorf("subword %v: Value result changed after the caller mutated an earlier one", sub)
+		}
+	}
+}
+
+// TestMemoMatchesPairFeatures: a memo appends exactly the bits of
+// PairFeatures, on first use and on repeats, with and without
+// subword blending.
+func TestMemoMatchesPairFeatures(t *testing.T) {
+	values := []string{"john smith", "jon smith", "", "smith", "j. smith-jones", "john smith"}
+	for _, sub := range []float64{0, 0.5} {
+		e := New(8, sub, 7)
+		m := e.Memo()
+		for round := 0; round < 2; round++ {
+			for _, a := range values {
+				for _, b := range values {
+					got := m.AppendPairFeatures([]float64{-1}, a, b)
+					if got[0] != -1 || !sameBits(got[1:], e.PairFeatures(a, b)) {
+						t.Fatalf("subword %v round %d: memo features of (%q, %q) differ", sub, round, a, b)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPairFeaturesConcurrent: an Embedder is shared across goroutines
+// (run under -race); every goroutine must see the serial result.
+func TestPairFeaturesConcurrent(t *testing.T) {
+	e := New(16, 0.3, 5)
+	values := []string{"ann lee", "anne lee", "bob", "", "kilmarnock road 12"}
+	want := make([][]float64, len(values))
+	for i, v := range values {
+		want[i] = e.PairFeatures(v, values[(i+1)%len(values)])
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 50; rep++ {
+				for i, v := range values {
+					if !sameBits(e.PairFeatures(v, values[(i+1)%len(values)]), want[i]) {
+						errs <- v
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for v := range errs {
+		t.Errorf("concurrent PairFeatures of %q differs from the serial result", v)
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

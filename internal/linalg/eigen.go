@@ -15,28 +15,44 @@ import (
 // stable for symmetric input, which covers every use in this
 // repository (covariances and the symmetric TCA system after
 // symmetrisation).
+//
+// The result is a pure function of the input bits: the sweep order,
+// the rotation order and every element update (c*x - s*y, s*x + c*y)
+// are fixed, so the layout below changes speed only. TCA solves a
+// 256×256 system, where the kernel's memory layout dominates.
 func EigenSym(a *Matrix) (values []float64, vectors *Matrix) {
 	a.mustSquare()
 	n := a.Rows
 	if n == 0 {
 		return nil, NewMatrix(0, 0)
 	}
-	m := a.Clone()
-	v := Identity(n)
+	// Both working matrices use a padded row stride: at a power-of-two
+	// stride (2 KiB for n = 256) the column walk of every rotation maps
+	// onto a handful of L1 sets.
+	ld := n + 8
+	m := make([]float64, n*ld)
+	for i := 0; i < n; i++ {
+		copy(m[i*ld:i*ld+n], a.Row(i))
+	}
+	// vt accumulates the eigenvectors transposed, one vector per row,
+	// so a rotation updates two contiguous rows instead of two columns.
+	vt := make([]float64, n*ld)
+	for i := 0; i < n; i++ {
+		vt[i*ld+i] = 1
+	}
 	const maxSweeps = 100
 	for sweep := 0; sweep < maxSweeps; sweep++ {
-		off := m.MaxAbsOffDiag()
-		if off < 1e-12 {
+		if maxAbsOffDiag(m, n, ld) < 1e-12 {
 			break
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
-				apq := m.At(p, q)
+				apq := m[p*ld+q]
 				if math.Abs(apq) < 1e-15 {
 					continue
 				}
-				app := m.At(p, p)
-				aqq := m.At(q, q)
+				app := m[p*ld+p]
+				aqq := m[q*ld+q]
 				// Compute the Jacobi rotation that zeroes a_pq.
 				theta := (aqq - app) / (2 * apq)
 				var t float64
@@ -47,26 +63,17 @@ func EigenSym(a *Matrix) (values []float64, vectors *Matrix) {
 				}
 				c := 1 / math.Sqrt(1+t*t)
 				s := t * c
-				// Apply rotation to rows/cols p and q of m.
-				for k := 0; k < n; k++ {
-					akp := m.At(k, p)
-					akq := m.At(k, q)
-					m.Set(k, p, c*akp-s*akq)
-					m.Set(k, q, s*akp+c*akq)
+				// Apply rotation to cols p and q of m, then to rows p
+				// and q (which sees the updated column entries).
+				for k := 0; k < n*ld; k += ld {
+					akp := m[k+p]
+					akq := m[k+q]
+					m[k+p] = c*akp - s*akq
+					m[k+q] = s*akp + c*akq
 				}
-				for k := 0; k < n; k++ {
-					apk := m.At(p, k)
-					aqk := m.At(q, k)
-					m.Set(p, k, c*apk-s*aqk)
-					m.Set(q, k, s*apk+c*aqk)
-				}
+				rotateRows(m[p*ld:p*ld+n], m[q*ld:q*ld+n], c, s)
 				// Accumulate eigenvectors.
-				for k := 0; k < n; k++ {
-					vkp := v.At(k, p)
-					vkq := v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
-				}
+				rotateRows(vt[p*ld:p*ld+n], vt[q*ld:q*ld+n], c, s)
 			}
 		}
 	}
@@ -77,18 +84,47 @@ func EigenSym(a *Matrix) (values []float64, vectors *Matrix) {
 	}
 	pairs := make([]pair, n)
 	for i := 0; i < n; i++ {
-		pairs[i] = pair{m.At(i, i), i}
+		pairs[i] = pair{m[i*ld+i], i}
 	}
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].val > pairs[j].val })
 	values = make([]float64, n)
 	vectors = NewMatrix(n, n)
 	for j, p := range pairs {
 		values[j] = p.val
-		for i := 0; i < n; i++ {
-			vectors.Set(i, j, v.At(i, p.idx))
+		vec := vt[p.idx*ld : p.idx*ld+n]
+		for i, x := range vec {
+			vectors.Data[i*n+j] = x
 		}
 	}
 	return values, vectors
+}
+
+// rotateRows applies the plane rotation (c, s) to the row pair (x, y):
+// x ← c·x − s·y, y ← s·x + c·y element by element.
+func rotateRows(x, y []float64, c, s float64) {
+	y = y[:len(x)]
+	for k, xk := range x {
+		yk := y[k]
+		x[k] = c*xk - s*yk
+		y[k] = s*xk + c*yk
+	}
+}
+
+// maxAbsOffDiag returns the largest |a_ij| for i != j of an n×n
+// matrix stored with row stride ld: the Jacobi convergence criterion.
+func maxAbsOffDiag(m []float64, n, ld int) float64 {
+	best := 0.0
+	for i := 0; i < n; i++ {
+		for j, x := range m[i*ld : i*ld+n] {
+			if i == j {
+				continue
+			}
+			if a := math.Abs(x); a > best {
+				best = a
+			}
+		}
+	}
+	return best
 }
 
 // SymPow returns Aᵖ for a symmetric positive semi-definite A computed

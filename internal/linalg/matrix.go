@@ -4,9 +4,13 @@
 // and a cyclic Jacobi eigensolver for symmetric matrices, from which
 // matrix inverse and fractional powers (square roots) are derived.
 //
-// Matrices are small (the ER feature space has 4-11 dimensions, and
-// TCA kernels are built on subsampled instance sets), so clarity is
-// favoured over blocked/vectorised kernels.
+// Most matrices are small (the ER feature space has 4-11 dimensions),
+// so clarity is favoured over blocked/vectorised kernels. The one
+// exception is EigenSym: TCA solves its kernel system over up to 256
+// landmarks, so the Jacobi loop works on raw, stride-padded slices.
+// Its contract is bitwise: for a given input it returns the same bits
+// as the plain At/Set formulation (same sweeps, rotation order and
+// element arithmetic), which a differential test pins.
 package linalg
 
 import (
@@ -157,23 +161,6 @@ func (m *Matrix) FrobeniusNorm() float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// MaxAbsOffDiag returns the largest |a_ij| for i != j of a square
-// matrix; used as the Jacobi convergence criterion.
-func (m *Matrix) MaxAbsOffDiag() float64 {
-	best := 0.0
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if i == j {
-				continue
-			}
-			if a := math.Abs(m.At(i, j)); a > best {
-				best = a
-			}
-		}
-	}
-	return best
 }
 
 func (m *Matrix) mustSameShape(other *Matrix) {

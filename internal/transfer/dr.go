@@ -63,23 +63,11 @@ func (c DR) Run(t *Task, factory ml.Factory) (*Result, error) {
 	if wk == 0 {
 		wk = 5
 	}
-	emb := embed.New(dim, c.SubwordWeight, c.Seed)
-
-	represent := func(a, b *dataset.Database, pairs []dataset.Pair) [][]float64 {
-		m := a.Schema.NumAttributes()
-		out := make([][]float64, len(pairs))
-		for i, p := range pairs {
-			ra, rb := a.Records[p.A], b.Records[p.B]
-			row := make([]float64, 0, m*(dim+1))
-			for q := 0; q < m; q++ {
-				row = append(row, emb.PairFeatures(ra.Values[q], rb.Values[q])...)
-			}
-			out[i] = row
-		}
-		return out
-	}
-	zs := represent(t.SourceA, t.SourceB, t.SourcePairs)
-	zt := represent(t.TargetA, t.TargetB, t.TargetPairs)
+	// Candidate pairs share records, so values recur across pairs: the
+	// memo embeds each distinct value once per run.
+	emb := embed.New(dim, c.SubwordWeight, c.Seed).Memo()
+	zs := represent(emb, dim, t.SourceA, t.SourceB, t.SourcePairs)
+	zt := represent(emb, dim, t.TargetA, t.TargetB, t.TargetPairs)
 
 	// Instance weighting: approximate the density ratio p_T(x)/p_S(x)
 	// per source instance by the ratio of its kNN distances within the
@@ -142,6 +130,22 @@ func (c DR) Run(t *Task, factory ml.Factory) (*Result, error) {
 	return resultFromProba(clf.PredictProba(zt)), nil
 }
 
+// represent builds DR's distributed representation of each pair: the
+// dim+1 pair features of every attribute's two values, concatenated.
+func represent(emb *embed.Memo, dim int, a, b *dataset.Database, pairs []dataset.Pair) [][]float64 {
+	m := a.Schema.NumAttributes()
+	out := make([][]float64, len(pairs))
+	for i, p := range pairs {
+		ra, rb := a.Records[p.A], b.Records[p.B]
+		row := make([]float64, 0, m*(dim+1))
+		for q := 0; q < m; q++ {
+			row = emb.AppendPairFeatures(row, ra.Values[q], rb.Values[q])
+		}
+		out[i] = row
+	}
+	return out
+}
+
 // subsampleRows picks at most max rows without replacement.
 func subsampleRows(rng *rand.Rand, rows [][]float64, max int) [][]float64 {
 	if len(rows) <= max {
@@ -166,15 +170,9 @@ func meanDist(nn []kdtree.Neighbour) float64 {
 	return s / float64(len(nn))
 }
 
-// resampleWeighted draws len(x) rows with replacement with probability
+// resampleWeightedN draws n rows with replacement with probability
 // proportional to weight, implementing instance re-weighting for
 // weight-unaware classifiers.
-func resampleWeighted(x [][]float64, y []int, w []float64, seed int64) ([][]float64, []int) {
-	return resampleWeightedN(x, y, w, seed, len(x))
-}
-
-// resampleWeightedN draws n rows with replacement proportional to
-// weight.
 func resampleWeightedN(x [][]float64, y []int, w []float64, seed int64, n int) ([][]float64, []int) {
 	total := 0.0
 	for _, v := range w {

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"transer/internal/blocking"
 	"transer/internal/datagen"
+	"transer/internal/embed"
 )
 
 // TestDRMisalignedPairsError: DR re-embeds raw record pairs, so pair
@@ -43,3 +45,18 @@ func TestDRSeedDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkDRRepresent measures DR's pair representation of one
+// demographic domain (KIL-Bp-Dp at scale 0.05, 2,877 candidate pairs),
+// a fresh memo per call as in DR.Run.
+func BenchmarkDRRepresent(b *testing.B) {
+	d := datagen.KILBpDp(0.05)
+	pairs := blocking.CandidatePairs(d.A, d.B, blocking.MinHashConfig{Seed: 1})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		representSink = represent(embed.New(8, 0, 1).Memo(), 8, d.A, d.B, pairs)
+	}
+}
+
+// representSink keeps benchmarked results alive.
+var representSink [][]float64
