@@ -40,12 +40,17 @@ func normalizeGolden(s string) string {
 	return strings.TrimRight(strings.Join(out, "\n"), "\n")
 }
 
-var decimalToken = regexp.MustCompile(`^\d+\.\d+$`)
+var (
+	decimalToken = regexp.MustCompile(`^\d+\.\d+$`)
+	dashRun      = regexp.MustCompile(`^-+$`)
+)
 
 // maskRuntimes rewrites the Table 3 section so the mean-seconds column
 // (machine-dependent) compares equal: decimal tokens become '#' and
-// runs of whitespace collapse. Sizes and task names are integers and
-// words, so they survive the masking and stay compared.
+// runs of whitespace collapse. The header rule's dash runs become '#'
+// too, since a column's rule is as wide as its widest runtime (10.80
+// and 9.80 give rules of different widths). Sizes and task names are
+// integers and words, so they survive the masking and stay compared.
 func maskRuntimes(s string) string {
 	lines := strings.Split(s, "\n")
 	in := false
@@ -59,7 +64,7 @@ func maskRuntimes(s string) string {
 		}
 		fields := strings.Fields(ln)
 		for j, f := range fields {
-			if decimalToken.MatchString(f) {
+			if decimalToken.MatchString(f) || dashRun.MatchString(f) {
 				fields[j] = "#"
 			}
 		}

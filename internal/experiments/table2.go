@@ -75,9 +75,13 @@ func demographicTask(name string) bool {
 // opts.Workers goroutines; each cell writes to its pre-assigned row
 // slot, keeping the row order and every quality number identical to a
 // serial run. Only the Table 3 wall-clock column varies, as it always
-// has. Methods carry no mutable state (Run reads the shared task and
-// seeds its own randomness from the method's fixed Seed), so sharing
-// a builtTask across cells is safe.
+// has. Sharing a builtTask across cells is safe: each method seeds its
+// randomness from its fixed Seed, and the only state a run leaves
+// behind is the task's content-keyed adapt memo, which the transform
+// baselines fill once per (method, task) and every classifier then
+// reuses. The task's inputs must therefore stay read-only. Table 3's
+// mean seconds per classifier run spread that one adapt step over the
+// classifiers.
 func Table2(opts Options) (*Table2Result, error) {
 	opts = opts.withDefaults()
 	st := opts.store()

@@ -79,9 +79,9 @@ func CheckResult(t TB, name string, res *transfer.Result, nTarget int) {
 	}
 }
 
-// CheckMethod runs the method twice on the task and asserts the shared
-// output invariants plus run-to-run determinism — seeded methods must
-// be pure functions of (task, factory, config).
+// CheckMethod runs the method on the task and on a copy of it and
+// asserts the shared output invariants plus run-to-run determinism —
+// seeded methods must be pure functions of (task, factory, config).
 func CheckMethod(t TB, m transfer.Method, task *transfer.Task, factory ml.Factory) {
 	res, err := m.Run(task, factory)
 	if err != nil {
@@ -89,7 +89,13 @@ func CheckMethod(t TB, m transfer.Method, task *transfer.Task, factory ml.Factor
 		return
 	}
 	CheckResult(t, m.Name(), res, len(task.XT))
-	again, err := m.Run(task, factory)
+	// A new Task, so the second run recomputes the adapt step the
+	// first memoised on task instead of reusing it.
+	again, err := m.Run(&transfer.Task{
+		XS: task.XS, YS: task.YS, XT: task.XT,
+		SourceA: task.SourceA, SourceB: task.SourceB, TargetA: task.TargetA, TargetB: task.TargetB,
+		SourcePairs: task.SourcePairs, TargetPairs: task.TargetPairs,
+	}, factory)
 	if err != nil {
 		t.Errorf("%s: second run failed: %v", m.Name(), err)
 		return

@@ -22,9 +22,11 @@ func (Coral) Name() string { return "Coral" }
 
 // Run implements Method.
 func (c Coral) Run(t *Task, factory ml.Factory) (*Result, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
+	return runAdapted(c, false, t, factory)
+}
+
+// adapt aligns the source rows to the target covariance.
+func (c Coral) adapt(t *Task) (*adapted, error) {
 	ridge := c.Ridge
 	if ridge == 0 {
 		ridge = 1.0
@@ -42,9 +44,5 @@ func (c Coral) Run(t *Task, factory ml.Factory) (*Result, error) {
 	for i := range aligned {
 		aligned[i] = alignedRows.Row(i)
 	}
-	clf, err := ml.FitWithFallback(factory, aligned, t.YS)
-	if err != nil {
-		return nil, err
-	}
-	return resultFromProba(clf.PredictProba(t.XT)), nil
+	return &adapted{trainX: aligned, trainY: t.YS, score: t.XT}, nil
 }

@@ -46,9 +46,12 @@ func (DR) Name() string { return "DR" }
 
 // Run implements Method.
 func (c DR) Run(t *Task, factory ml.Factory) (*Result, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
+	return runAdapted(c, true, t, factory)
+}
+
+// adapt represents every pair in the embedding space and resamples the
+// source towards the target density.
+func (c DR) adapt(t *Task) (*adapted, error) {
 	if t.SourceA == nil || t.SourceB == nil || t.TargetA == nil || t.TargetB == nil {
 		return nil, errors.New("dr: requires raw databases and record pairs")
 	}
@@ -122,12 +125,7 @@ func (c DR) Run(t *Task, factory ml.Factory) (*Result, error) {
 		trainCap = 4 * maxRef
 	}
 	rx, ry := resampleWeightedN(zs, t.YS, weights, c.Seed, trainCap)
-
-	clf, err := ml.FitWithFallback(factory, rx, ry)
-	if err != nil {
-		return nil, err
-	}
-	return resultFromProba(clf.PredictProba(zt)), nil
+	return &adapted{trainX: rx, trainY: ry, score: zt}, nil
 }
 
 // represent builds DR's distributed representation of each pair: the

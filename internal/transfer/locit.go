@@ -83,9 +83,11 @@ func cov(points [][]float64, nbr []kdtree.Neighbour, centre []float64) []float64
 
 // Run implements Method.
 func (c LocIT) Run(t *Task, factory ml.Factory) (*Result, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
+	return runAdapted(c, false, t, factory)
+}
+
+// adapt selects the source instances the transfer classifier accepts.
+func (c LocIT) adapt(t *Task) (*adapted, error) {
 	k := c.K
 	if k == 0 {
 		k = 7
@@ -128,7 +130,7 @@ func (c LocIT) Run(t *Task, factory ml.Factory) (*Result, error) {
 		fy = append(fy, 0)
 	}
 	if len(fx) == 0 {
-		return allZero(len(t.XT)), nil
+		return &adapted{}, nil
 	}
 	sel, err := ml.FitWithFallback(func() ml.Classifier {
 		return svm.New(svm.Config{Seed: c.Seed})
@@ -154,13 +156,9 @@ func (c LocIT) Run(t *Task, factory ml.Factory) (*Result, error) {
 	}
 	if len(selX) == 0 || allSameInt(selY) {
 		// Selection collapsed — the degenerate 0.00 outcome.
-		return allZero(len(t.XT)), nil
+		return &adapted{}, nil
 	}
-	clf, err := ml.FitWithFallback(factory, selX, selY)
-	if err != nil {
-		return nil, err
-	}
-	return resultFromProba(clf.PredictProba(t.XT)), nil
+	return &adapted{trainX: selX, trainY: selY, score: t.XT}, nil
 }
 
 func allSameInt(y []int) bool {

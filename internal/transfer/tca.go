@@ -44,9 +44,12 @@ func (TCA) Name() string { return "TCA" }
 
 // Run implements Method.
 func (c TCA) Run(t *Task, factory ml.Factory) (*Result, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
+	return runAdapted(c, false, t, factory)
+}
+
+// adapt projects the source and target rows into the transfer
+// components.
+func (c TCA) adapt(t *Task) (*adapted, error) {
 	m := t.Dim()
 	comp := c.Components
 	if comp == 0 {
@@ -175,13 +178,7 @@ func (c TCA) Run(t *Task, factory ml.Factory) (*Result, error) {
 		}
 		return out
 	}
-	zs := project(t.XS)
-	zt := project(t.XT)
-	clf, err := ml.FitWithFallback(factory, zs, t.YS)
-	if err != nil {
-		return nil, err
-	}
-	return resultFromProba(clf.PredictProba(zt)), nil
+	return &adapted{trainX: project(t.XS), trainY: t.YS, score: project(t.XT)}, nil
 }
 
 func subsample(rng *rand.Rand, n, k int) []int {

@@ -17,6 +17,12 @@ import (
 // source→target run: the feature matrices (all methods), and the
 // underlying databases and candidate pairs (the DR baseline re-embeds
 // raw attribute values).
+//
+// A Task carries a memo of the transform baselines' adapt steps,
+// keyed by method configuration and input content (DESIGN.md §1.3).
+// Methods may run on one Task concurrently; its inputs must stay
+// read-only meanwhile, and it must not be copied while a method runs
+// on it.
 type Task struct {
 	// XS, YS are the labelled source feature matrix.
 	XS [][]float64
@@ -32,6 +38,10 @@ type Task struct {
 	TargetA, TargetB *dataset.Database
 	SourcePairs      []dataset.Pair
 	TargetPairs      []dataset.Pair
+
+	// memo holds the adapt steps computed on this Task (see
+	// runAdapted); it is created on first use, under memoMu.
+	memo map[memoKey]*memoEntry
 }
 
 // Validate checks the feature-space invariants shared by all methods.
@@ -94,11 +104,4 @@ type Method interface {
 // thresholding.
 func resultFromProba(proba []float64) *Result {
 	return &Result{Labels: ml.Labels(proba, 0.5), Proba: proba}
-}
-
-// allZero returns a degenerate all-non-match result (used when a
-// method's instance selection collapses, mirroring LocIT*'s 0.00
-// entries in the paper's Table 2).
-func allZero(n int) *Result {
-	return &Result{Labels: make([]int, n), Proba: make([]float64, n)}
 }

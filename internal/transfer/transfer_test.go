@@ -251,8 +251,11 @@ func TestCoralAlignsCovariance(t *testing.T) {
 }
 
 func TestTCADeterministicWithSeed(t *testing.T) {
-	task, _ := blobTask(150, 120, 0.05, 21)
+	// Each run gets its own independently generated task, so the
+	// second run recomputes TCA's adapt step instead of reusing the
+	// first run's.
 	run := func() []float64 {
+		task, _ := blobTask(150, 120, 0.05, 21)
 		res, err := TCA{MaxLandmarks: 60, Seed: 5}.Run(task, factory())
 		if err != nil {
 			t.Fatal(err)
