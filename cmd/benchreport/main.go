@@ -66,12 +66,13 @@ var phases = map[string]bool{
 	"sel": true, "gen": true, "tcl": true,
 	"fit": true, "predict": true,
 	// SEL sub-phases (DESIGN.md §10): the selector's dedup, index
-	// build and query stages, so BENCH_sel.json can attribute the fast
-	// path's win per layer. They nest under "sel" and also aggregate
-	// into it, like fit/predict under gen/tcl.
+	// build and query stages, so a report attributes SEL time per
+	// stage. They nest under "sel" and also aggregate into it, like
+	// fit/predict under gen/tcl.
 	"sel_dedup": true, "sel_build": true, "sel_query": true,
-	// SEL cache hits (Config.SELCache): counts how many grid cells
-	// skipped selection entirely via the memo.
+	// SEL memo hits: a transfer.TransER run that reused its task's
+	// memoised selection records sel_cache in place of the selector's
+	// sub-phases, so its count is the number of runs that skipped SEL.
 	"sel_cache": true,
 	"generate":  true, "block": true, "compare": true, "label": true,
 	"request": true,

@@ -31,8 +31,8 @@ func TestSummarize(t *testing.T) {
 		c.Child("tcl").End()
 		c.End()
 	}
-	// A third cell whose selection came from the memo: its sel span
-	// carries only a sel_cache child (see core.SelectInstances).
+	// A third cell whose selection came from the task memo: its sel
+	// span carries only a sel_cache child (see core.RunWithSelection).
 	hit := exp.Child("cell:C")
 	hitSel := hit.Child("sel")
 	hitSel.Child("sel_cache").End()

@@ -16,37 +16,44 @@ import (
 // must hold verbatim in every regime, so no generator opt-ins apply.
 func TestSelectInstancesPropEquivalence(t *testing.T) {
 	testkit.Run(t, "selector/fast-path-equivalence", 24, func(pt *testkit.T) {
-		n := 3*pt.Size + 12
-		m := 2 + pt.Rng.Intn(3)
-		xs := testkit.GridMatrix(pt.Rng, n, m)
-		ys := make([]int, n)
-		for i := range ys {
-			ys[i] = pt.Rng.Intn(2)
-		}
-		// Force extra verbatim duplicates without syncing labels: the
-		// fast path must agree with the reference even when duplicate
-		// vectors disagree on their labels.
-		for k := 0; k < n/3; k++ {
-			xs[pt.Rng.Intn(n)] = xs[pt.Rng.Intn(n)]
-		}
-		xt := testkit.GridMatrix(pt.Rng, n/2+8, m)
-		cfg := Config{
-			K:          []int{3, 5, 7}[pt.Rng.Intn(3)],
-			TC:         []float64{0.5, 0.7, 0.9}[pt.Rng.Intn(3)],
-			TL:         []float64{0.5, 0.7, 0.9}[pt.Rng.Intn(3)],
-			TP:         0.9,
-			B:          3,
-			EnableSimV: pt.Rng.Intn(2) == 0,
-			TV:         0.7,
-			Workers:    1 + pt.Rng.Intn(4),
-		}
+		xs, ys, xt, cfg := gridProblem(pt)
 		got := SelectInstances(xs, ys, xt, cfg)
 		want := referenceSelect(xs, ys, xt, cfg)
 		if !testkit.EqualInts(got, want) {
 			pt.Errorf("n=%d m=%d cfg=%+v: fast path kept %v, reference kept %v",
-				n, m, cfg, got, want)
+				len(xs), len(xs[0]), cfg, got, want)
 		}
 	})
+}
+
+// gridProblem draws a duplicate-heavy grid problem with labels
+// assigned independently of vectors, plus a random selector config.
+func gridProblem(pt *testkit.T) (xs [][]float64, ys []int, xt [][]float64, cfg Config) {
+	n := 3*pt.Size + 12
+	m := 2 + pt.Rng.Intn(3)
+	xs = testkit.GridMatrix(pt.Rng, n, m)
+	ys = make([]int, n)
+	for i := range ys {
+		ys[i] = pt.Rng.Intn(2)
+	}
+	// Force extra verbatim duplicates without syncing labels: the
+	// fast path must agree with the reference even when duplicate
+	// vectors disagree on their labels.
+	for k := 0; k < n/3; k++ {
+		xs[pt.Rng.Intn(n)] = xs[pt.Rng.Intn(n)]
+	}
+	xt = testkit.GridMatrix(pt.Rng, n/2+8, m)
+	cfg = Config{
+		K:          []int{3, 5, 7}[pt.Rng.Intn(3)],
+		TC:         []float64{0.5, 0.7, 0.9}[pt.Rng.Intn(3)],
+		TL:         []float64{0.5, 0.7, 0.9}[pt.Rng.Intn(3)],
+		TP:         0.9,
+		B:          3,
+		EnableSimV: pt.Rng.Intn(2) == 0,
+		TV:         0.7,
+		Workers:    1 + pt.Rng.Intn(4),
+	}
+	return xs, ys, xt, cfg
 }
 
 // TestVectorKeyDistinguishesSignedZero pins the encoding detail the

@@ -6,10 +6,12 @@ import (
 	"testing"
 
 	"transer/internal/kdtree"
+	"transer/internal/testkit"
 )
 
 // referenceSelect is the direct per-instance implementation of the SEL
-// phase, used to validate the duplicate-grouping optimisation in
+// phase: one k-NN query per source instance on pointer trees. It is
+// the differential oracle for the duplicate-grouping selector in
 // selectInstances.
 func referenceSelect(xs [][]float64, ys []int, xt [][]float64, cfg Config) []int {
 	cfg = cfg.withDefaults()
@@ -58,6 +60,10 @@ func quantizedProblem(n, m int, seed int64) (xs [][]float64, ys []int, xt [][]fl
 	return
 }
 
+// TestSelectInstancesMatchesReference: the selector returns the
+// per-instance selection verbatim on quantized problems and on
+// duplicate-heavy grid problems whose duplicates carry conflicting
+// labels.
 func TestSelectInstancesMatchesReference(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		xs, ys, xt := quantizedProblem(150, 3, seed)
@@ -78,6 +84,13 @@ func TestSelectInstancesMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	testkit.Run(t, "selector/modes-exact-equivalence", 20, func(pt *testkit.T) {
+		xs, ys, xt, cfg := gridProblem(pt)
+		got := SelectInstances(xs, ys, xt, cfg)
+		if want := referenceSelect(xs, ys, xt, cfg); !testkit.EqualInts(got, want) {
+			pt.Errorf("kept %v, reference kept %v (cfg=%+v)", got, want, cfg)
+		}
+	})
 }
 
 func TestSelectInstancesGroupSharing(t *testing.T) {

@@ -16,6 +16,20 @@ import (
 // in the GEN and TCL phases), and the configuration. It returns the
 // final target labels with probabilities and per-phase statistics.
 func Run(xs [][]float64, ys []int, xt [][]float64, factory ml.Factory, cfg Config) (*Result, error) {
+	return RunWithSelection(xs, ys, xt, factory, cfg, func(c Config) ([]int, bool) {
+		return SelectInstances(xs, ys, xt, c), false
+	})
+}
+
+// RunWithSelection is Run with the SEL phase supplied by sel, so a
+// caller that runs one task under several configurations can reuse
+// one selection (transfer.TransER memoises it per task). sel must
+// return what SelectInstances(xs, ys, xt, cfg) returns, and whether it
+// was reused from an earlier run rather than computed now; cfg.Obs is
+// the run's sel span, and the returned slice is only read. Output is
+// then bitwise Run's. A reused selection still records the sel span,
+// with a sel_cache child in place of the selector's sub-spans.
+func RunWithSelection(xs [][]float64, ys []int, xt [][]float64, factory ml.Factory, cfg Config, sel func(cfg Config) (selected []int, reused bool)) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -54,14 +68,20 @@ func Run(xs [][]float64, ys []int, xt [][]float64, factory ml.Factory, cfg Confi
 	selStart := time.Now()
 	selCfg := cfg
 	selCfg.Obs = selSpan
-	selected := SelectInstances(xs, ys, xt, selCfg)
+	selected, reused := sel(selCfg)
+	if reused {
+		hit := selSpan.Child("sel_cache")
+		hit.SetInt("kept", int64(len(selected)))
+		hit.End()
+	}
 	if len(selected) == 0 || singleClass(ys, selected) {
 		// Degenerate selection: fall back to the full source so a
 		// classifier can still be trained. The paper's data never
 		// triggers this; extreme thresholds (t_c = t_l = 1.0) can.
-		selected = selected[:0]
-		for i := range xs {
-			selected = append(selected, i)
+		// A fresh slice: a reused selection is shared.
+		selected = make([]int, len(xs))
+		for i := range selected {
+			selected[i] = i
 		}
 		res.Stats.SelectedFallback = true
 	}

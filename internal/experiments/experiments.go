@@ -40,12 +40,6 @@ type Options struct {
 	// SkipSlow drops the slowest baselines (DTAL*) from large tasks,
 	// mirroring the paper's 'TE' entries without burning hours.
 	SkipSlow bool
-	// SELMode selects TransER's SEL engine (core.SELMode* constants;
-	// "" = the default exact fast path). Exact modes render
-	// byte-identical tables — the golden-gate suite enforces it — so
-	// this knob exists for benchmarking the engines against each other
-	// and for opting into approximate selection.
-	SELMode string
 	// Workers bounds the goroutines used for feature-matrix
 	// construction and for fanning out independent experiment grid
 	// cells; 0 means one per CPU, 1 forces serial execution. Every
@@ -71,15 +65,6 @@ type Options struct {
 	// RunExperiment; direct experiment calls fall back to the tracer
 	// root.
 	span *obs.Span
-
-	// selCache memoizes SEL selections across the experiment's grid
-	// cells: the grid re-runs TransER once per classifier over the
-	// same task, so every cell after the first hits the cache.
-	// withDefaults creates one per experiment call for every engine
-	// except the reference one, which reproduces the seed behavior
-	// verbatim — recomputation included — so benchmarks against it
-	// measure the real baseline cost (DESIGN.md §10).
-	selCache *core.SelectionCache
 }
 
 // store resolves the artifact store an experiment call uses.
@@ -106,9 +91,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Classifiers == nil {
 		o.Classifiers = StandardClassifiers(o.Seed + 1)
-	}
-	if o.selCache == nil && o.SELMode != core.SELModeReference {
-		o.selCache = core.NewSelectionCache()
 	}
 	return o
 }

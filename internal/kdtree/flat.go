@@ -31,8 +31,7 @@ const flatLeafSize = 16
 // Exactness note: coordinates are stored as float64, not float32.
 // Narrowing the storage would change distance rounding and break the
 // SEL exactness contract (DESIGN.md §10); the win comes from the
-// blocked layout, not reduced precision. The float32 blocked kernel
-// (SqDist32) exists for callers that are explicitly approximate.
+// blocked layout, not reduced precision.
 //
 // Flat additionally supports per-point integer weights, interpreting
 // indexed point i as Weight(i) coincident instances: KNNWeighted
@@ -399,27 +398,3 @@ func (f *Flat) searchW(node int32, q []float64, c *wCollector) {
 // coordinate-ascending accumulation, the exact operation order every
 // exact k-NN path in this package uses.
 func SqDist(a, b []float64) float64 { return sqDist(a, b) }
-
-// SqDist32 is the blocked float32 distance kernel for explicitly
-// approximate callers: four independent accumulators unroll the loop,
-// trading the exact accumulation order (and float64 precision) for
-// speed. Never use it on an exact path.
-func SqDist32(a, b []float32) float32 {
-	var s0, s1, s2, s3 float32
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		d0 := a[i] - b[i]
-		d1 := a[i+1] - b[i+1]
-		d2 := a[i+2] - b[i+2]
-		d3 := a[i+3] - b[i+3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-	}
-	for ; i < len(a); i++ {
-		d := a[i] - b[i]
-		s0 += d * d
-	}
-	return (s0 + s1) + (s2 + s3)
-}

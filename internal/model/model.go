@@ -88,11 +88,11 @@ type TrainingSpec struct {
 	EnableSimV    bool    `json:"enable_sim_v,omitempty"`
 	TV            float64 `json:"tv,omitempty"`
 
-	// SELMode records which SEL engine selected the training
-	// instances (core.SELMode* values; empty = the default exact fast
-	// path). Exact modes cannot change the artifact, but approximate
-	// selection can, so provenance must say which one ran. Omitted
-	// when empty, keeping artifacts from older exports byte-stable.
+	// SELMode is decode-only: nothing sets it. Earlier exports named
+	// their SEL engine here ("exact" and others), and Fingerprint
+	// hashes the re-encoded artifact, so the field must survive a
+	// decode/encode round trip for those artifacts to keep their
+	// fingerprints (and their catalog entries to stay valid).
 	SELMode string `json:"sel_mode,omitempty"`
 }
 
@@ -103,7 +103,6 @@ func TrainingFromConfig(c core.Config) TrainingSpec {
 		DisableSEL: c.DisableSEL, DisableGENTCL: c.DisableGENTCL,
 		DisableSimC: c.DisableSimC, DisableSimL: c.DisableSimL,
 		EnableSimV: c.EnableSimV, TV: c.TV,
-		SELMode: c.SELMode,
 	}
 }
 

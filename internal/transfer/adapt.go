@@ -49,33 +49,36 @@ func runAdapted(a adapter, raw bool, t *Task, factory ml.Factory) (*Result, erro
 	return resultFromProba(clf.PredictProba(ad.score)), nil
 }
 
-// memoKey identifies one adapt step: the method's configuration value
-// and a fingerprint of the task content the method reads.
+// memoKey identifies one memoised step: a comparable configuration
+// value — a transform baseline's config, or TransER's
+// core.SelectionKey — and a fingerprint of the task content the step
+// reads.
 type memoKey struct {
-	cfg    adapter
+	cfg    any
 	inputs [sha256.Size]byte
 }
 
-// memoEntry single-flights one adapt step: concurrent runs on the same
-// key wait for the first and share its output.
+// memoEntry single-flights one step: concurrent runs on the same key
+// wait for the first and share its output.
 type memoEntry struct {
 	once sync.Once
-	out  *adapted
+	out  any
 	err  error
 }
 
 // memoMu guards every Task's memo map, including its lazy creation.
-// It is held for the lookup only, never across an adapt step.
+// It is held for the lookup only, never across a computed step.
 var memoMu sync.Mutex
 
-// adaptHook, when set, is called once per adapt step computed; tests
-// use it to count them.
+// adaptHook, when set, is called once per memoised step computed;
+// tests use it to count them.
 var adaptHook func()
 
-// adapt returns a's adapt step on t from the memo, computing it on the
-// first request.
-func (t *Task) adapt(a adapter, raw bool) (*adapted, error) {
-	k := memoKey{cfg: a, inputs: fingerprint(t, raw)}
+// memoised returns the step keyed by cfg on t from the memo, running
+// compute on the first request. computed reports whether this call
+// ran it.
+func memoised[T any](t *Task, cfg any, raw bool, compute func() (T, error)) (out T, computed bool, err error) {
+	k := memoKey{cfg: cfg, inputs: fingerprint(t, raw)}
 	memoMu.Lock()
 	if t.memo == nil {
 		t.memo = map[memoKey]*memoEntry{}
@@ -90,15 +93,23 @@ func (t *Task) adapt(a adapter, raw bool) (*adapted, error) {
 		if adaptHook != nil {
 			adaptHook()
 		}
-		e.out, e.err = a.adapt(t)
+		e.out, e.err = compute()
+		computed = true
 	})
-	return e.out, e.err
+	return e.out.(T), computed, e.err
 }
 
-// fingerprint hashes the task content an adapt step reads as core's
-// selection cache keys its inputs: every section is length-prefixed
-// and floats hash as IEEE bits. raw adds the databases' attribute
-// values and the pair lists.
+// adapt returns a's adapt step on t from the memo, computing it on the
+// first request.
+func (t *Task) adapt(a adapter, raw bool) (*adapted, error) {
+	ad, _, err := memoised(t, a, raw, func() (*adapted, error) { return a.adapt(t) })
+	return ad, err
+}
+
+// fingerprint hashes the task content a memoised step reads: every
+// section is length-prefixed and floats hash as IEEE bits, so +0.0
+// and -0.0 differ. raw adds the databases' attribute values and the
+// pair lists.
 func fingerprint(t *Task, raw bool) [sha256.Size]byte {
 	h := sha256.New()
 	var buf []byte

@@ -17,23 +17,31 @@ type TransER struct {
 // Name implements Method.
 func (TransER) Name() string { return "TransER" }
 
-// Run implements Method.
+// Run implements Method. The SEL phase reads only the task's matrices
+// and the config's core.SelectionKey, so its selection is memoised on
+// the task like a transform baseline's adapt step: the Table 2
+// protocol's four classifiers, and sweeps that vary only t_p, b or
+// the seed, share one selection per task.
 func (c TransER) Run(t *Task, factory ml.Factory) (*Result, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	cfg := c.Config
-	// The zero-value check must ignore the observability handle, the
-	// SEL engine choice and the selection cache: a Config carrying
-	// only those still means "use the paper defaults" — none of them
-	// may change which hyper-parameters run.
-	obsSpan, selMode, selCache := cfg.Obs, cfg.SELMode, cfg.SELCache
-	cfg.Obs, cfg.SELMode, cfg.SELCache = nil, "", nil
+	// The zero-value check must ignore the observability handle: a
+	// Config carrying only a span still means "use the paper
+	// defaults".
+	obsSpan := cfg.Obs
+	cfg.Obs = nil
 	if cfg == (core.Config{}) {
 		cfg = core.DefaultConfig()
 	}
-	cfg.Obs, cfg.SELMode, cfg.SELCache = obsSpan, selMode, selCache
-	res, err := core.Run(t.XS, t.YS, t.XT, factory, cfg)
+	cfg.Obs = obsSpan
+	res, err := core.RunWithSelection(t.XS, t.YS, t.XT, factory, cfg, func(selCfg core.Config) ([]int, bool) {
+		sel, computed, _ := memoised(t, selCfg.SelectionKey(), false, func() ([]int, error) {
+			return core.SelectInstances(t.XS, t.YS, t.XT, selCfg), nil
+		})
+		return sel, !computed
+	})
 	if err != nil {
 		return nil, err
 	}
