@@ -171,6 +171,12 @@ func run() error {
 		return err
 	}
 
+	// Catch SIGINT/SIGTERM before the address is announced: a client
+	// that reads it may signal at once, and the default action would
+	// kill the process without draining.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -186,8 +192,6 @@ func run() error {
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errCh:
 		return err

@@ -61,9 +61,7 @@ func quantizedProblem(n, m int, seed int64) (xs [][]float64, ys []int, xt [][]fl
 }
 
 // TestSelectInstancesMatchesReference: the selector returns the
-// per-instance selection verbatim on quantized problems and on
-// duplicate-heavy grid problems whose duplicates carry conflicting
-// labels.
+// per-instance selection verbatim on quantized problems.
 func TestSelectInstancesMatchesReference(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		xs, ys, xt := quantizedProblem(150, 3, seed)
@@ -84,6 +82,12 @@ func TestSelectInstancesMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSelectInstancesMatchesReferenceOnGrid: the selector returns the
+// per-instance selection verbatim on duplicate-heavy grid problems
+// whose duplicates carry conflicting labels.
+func TestSelectInstancesMatchesReferenceOnGrid(t *testing.T) {
 	testkit.Run(t, "selector/modes-exact-equivalence", 20, func(pt *testkit.T) {
 		xs, ys, xt, cfg := gridProblem(pt)
 		got := SelectInstances(xs, ys, xt, cfg)

@@ -32,30 +32,35 @@ func TestTransERAdapterMatchesCore(t *testing.T) {
 	}
 }
 
-// TestTransERZeroConfigUsesDefaults: the zero-value Config, and one
-// carrying nothing but an observability span, must mean
+// TestTransERZeroConfigUsesDefaults: the zero-value Config must mean
 // core.DefaultConfig(), not a zero-threshold run.
 func TestTransERZeroConfigUsesDefaults(t *testing.T) {
-	task, _ := blobTask(140, 70, 0.05, 62)
+	defaultsFor(t, "zero-value", core.Config{}, 62)
+}
+
+// TestTransERObsOnlyConfigUsesDefaults: a Config carrying nothing but
+// an observability span still means core.DefaultConfig(); Obs is the
+// one field the zero check ignores.
+func TestTransERObsOnlyConfigUsesDefaults(t *testing.T) {
+	defaultsFor(t, "Obs-only", core.Config{Obs: obs.NewDetachedSpan("transer")}, 63)
+}
+
+// defaultsFor checks that TransER under cfg reproduces core.Run under
+// core.DefaultConfig() on a blob task drawn from seed.
+func defaultsFor(t *testing.T, name string, cfg core.Config, seed int64) {
+	t.Helper()
+	task, _ := blobTask(140, 70, 0.05, seed)
+	got, err := TransER{Config: cfg}.Run(task, factory())
+	if err != nil {
+		t.Fatalf("%s config: %v", name, err)
+	}
 	explicit, err := core.Run(task.XS, task.YS, task.XT, factory(), core.DefaultConfig())
 	if err != nil {
 		t.Fatalf("default config: %v", err)
 	}
-	for _, c := range []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"zero-value", core.Config{}},
-		{"Obs-only", core.Config{Obs: obs.NewDetachedSpan("transer")}},
-	} {
-		got, err := TransER{Config: c.cfg}.Run(freshTask(task), factory())
-		if err != nil {
-			t.Fatalf("%s config: %v", c.name, err)
-		}
-		for i := range explicit.Proba {
-			if got.Proba[i] != explicit.Proba[i] {
-				t.Fatalf("row %d: %s Config %v, DefaultConfig %v", i, c.name, got.Proba[i], explicit.Proba[i])
-			}
+	for i := range explicit.Proba {
+		if got.Proba[i] != explicit.Proba[i] {
+			t.Fatalf("row %d: %s Config %v, DefaultConfig %v", i, name, got.Proba[i], explicit.Proba[i])
 		}
 	}
 }
